@@ -221,7 +221,6 @@ pub struct SqCluster {
     params: SqParams,
     global_ids: Vec<u32>,
     codes: Vec<u8>,
-    index: std::collections::HashMap<u32, u32>,
 }
 
 impl SqCluster {
@@ -252,17 +251,11 @@ impl SqCluster {
         for row in vectors.iter() {
             codes.extend_from_slice(&params.encode(row));
         }
-        let index = global_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &gid)| (gid, i as u32))
-            .collect();
         Ok(SqCluster {
             partition,
             params,
             global_ids,
             codes,
-            index,
         })
     }
 
@@ -294,25 +287,6 @@ impl SqCluster {
     /// The global ids of the encoded vectors, indexed by local row.
     pub fn global_ids(&self) -> &[u32] {
         &self.global_ids
-    }
-
-    /// The local row index of global id `gid`, if it is a base vector
-    /// of this cluster — what the rerank read path uses to address the
-    /// full-precision vector inside the uncompressed cluster blob.
-    pub fn local_of(&self, gid: u32) -> Option<u32> {
-        self.index.get(&gid).copied()
-    }
-
-    /// The codes of local row `local`.
-    pub fn codes_of(&self, local: u32) -> &[u8] {
-        let dim = self.dim();
-        let start = local as usize * dim;
-        &self.codes[start..start + dim]
-    }
-
-    /// Asymmetric squared-L2 distance between `query` and row `local`.
-    pub fn distance_to(&self, query: &[f32], local: u32) -> f32 {
-        self.params.asymmetric_l2(query, self.codes_of(local))
     }
 
     /// Serializes into the wire format.
@@ -385,17 +359,11 @@ impl SqCluster {
             global_ids.push(u32_at(ids_off + 4 * i)?);
         }
         let codes = take(ids_off + 4 * n, n * dim)?.to_vec();
-        let index = global_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &gid)| (gid, i as u32))
-            .collect();
         Ok(SqCluster {
             partition,
             params,
             global_ids,
             codes,
-            index,
         })
     }
 }
@@ -668,7 +636,9 @@ pub fn parse_overflow_legacy(area: &[u8], dim: usize) -> Result<Vec<OverflowReco
 #[derive(Debug)]
 enum Payload {
     Full(SubCluster),
-    Sq(SqCluster),
+    /// `dead[row]` marks base rows a tombstone deleted, so the scan
+    /// skips them without a per-row id lookup.
+    Sq { sq: SqCluster, dead: Vec<bool> },
 }
 
 /// One approximate hit from a quantized cluster scan.
@@ -761,8 +731,13 @@ impl LoadedCluster {
             }
             None => (Vec::new(), std::collections::HashSet::new(), 0),
         };
+        let dead = sq
+            .global_ids()
+            .iter()
+            .map(|gid| deleted.contains(gid))
+            .collect();
         Ok(LoadedCluster {
-            payload: Payload::Sq(sq),
+            payload: Payload::Sq { sq, dead },
             extra,
             deleted,
             skipped_slots,
@@ -802,28 +777,28 @@ impl LoadedCluster {
     pub fn sub(&self) -> &SubCluster {
         match &self.payload {
             Payload::Full(sub) => sub,
-            Payload::Sq(_) => panic!("sq-loaded cluster has no sub-HNSW"),
+            Payload::Sq { .. } => panic!("sq-loaded cluster has no sub-HNSW"),
         }
     }
 
     /// The SQ8 payload, when this cluster was loaded compressed.
     pub fn sq(&self) -> Option<&SqCluster> {
         match &self.payload {
-            Payload::Sq(sq) => Some(sq),
+            Payload::Sq { sq, .. } => Some(sq),
             Payload::Full(_) => None,
         }
     }
 
     /// Whether the base payload is the compressed (SQ8) form.
     pub fn is_quantized(&self) -> bool {
-        matches!(self.payload, Payload::Sq(_))
+        matches!(self.payload, Payload::Sq { .. })
     }
 
     /// The partition this cluster serves.
     pub fn partition(&self) -> u32 {
         match &self.payload {
             Payload::Full(sub) => sub.partition(),
-            Payload::Sq(sq) => sq.partition(),
+            Payload::Sq { sq, .. } => sq.partition(),
         }
     }
 
@@ -831,7 +806,7 @@ impl LoadedCluster {
     pub fn dim(&self) -> usize {
         match &self.payload {
             Payload::Full(sub) => sub.dim(),
-            Payload::Sq(sq) => sq.dim(),
+            Payload::Sq { sq, .. } => sq.dim(),
         }
     }
 
@@ -839,7 +814,7 @@ impl LoadedCluster {
     pub fn total_vectors(&self) -> usize {
         let base = match &self.payload {
             Payload::Full(sub) => sub.len(),
-            Payload::Sq(sq) => sq.len(),
+            Payload::Sq { sq, .. } => sq.len(),
         };
         base + self.extra.len()
     }
@@ -867,7 +842,7 @@ impl LoadedCluster {
     ) -> Vec<Neighbor> {
         let sub = match &self.payload {
             Payload::Full(sub) => sub,
-            Payload::Sq(_) => {
+            Payload::Sq { .. } => {
                 return self
                     .search_sq_with_stats(query, k, stats)
                     .into_iter()
@@ -916,20 +891,21 @@ impl LoadedCluster {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<SqHit> {
-        let sq = match &self.payload {
-            Payload::Sq(sq) => sq,
+        let (sq, dead) = match &self.payload {
+            Payload::Sq { sq, dead } => (sq, dead),
             Payload::Full(_) => panic!("full-precision cluster has no sq payload"),
         };
         // TopK carries plain (id, dist), so select over pseudo-ids:
         // base row i -> i, overflow insert j -> n + j.
         let n = sq.len() as u32;
         let mut top = TopK::new(k);
-        for local in 0..n {
-            if self.deleted.contains(&sq.global_ids()[local as usize]) {
+        let shifted = sq.params.shift(query);
+        for ((local, codes), &dead) in sq.codes.chunks_exact(sq.dim()).enumerate().zip(dead) {
+            if dead {
                 continue;
             }
             stats.dist_evals += 1;
-            top.push(local, sq.distance_to(query, local));
+            top.push(local as u32, sq.params.shifted_l2(&shifted, codes));
         }
         for (j, (_, v)) in self.extra.iter().enumerate() {
             stats.dist_evals += 1;
@@ -959,7 +935,7 @@ impl LoadedCluster {
     pub fn resident_bytes(&self) -> usize {
         let base = match &self.payload {
             Payload::Full(sub) => sub.serialized_size(),
-            Payload::Sq(sq) => sq.serialized_size(),
+            Payload::Sq { sq, .. } => sq.serialized_size(),
         };
         base + self
             .extra
@@ -1203,9 +1179,7 @@ mod tests {
         assert_eq!(back.partition(), 3);
         assert_eq!(back.global_ids(), sq.global_ids());
         assert_eq!(back.params(), sq.params());
-        assert_eq!(back.codes_of(17), sq.codes_of(17));
-        assert_eq!(back.local_of(171), Some(17));
-        assert_eq!(back.local_of(9999), None);
+        assert_eq!(back.to_bytes(), blob);
     }
 
     #[test]
@@ -1281,6 +1255,64 @@ mod tests {
         assert_eq!(hits[0].local, None);
         assert!(hits.iter().all(|h| h.id != 51));
         assert!(hits.iter().all(|h| h.id != 8_000));
+    }
+
+    #[test]
+    fn sq_scan_matches_decode_then_exact_reference() {
+        let data = gen::sift_like(400, 31).unwrap();
+        let ids: Vec<u32> = (0..400u32).map(|i| i * 3 + 5).collect();
+        let sq = SqCluster::build(2, &data, ids.clone()).unwrap();
+        let dim = data.dim();
+        // Tombstones for base rows 10 and 250, an overflow insert that
+        // a later tombstone killed, and one live insert.
+        let records = [
+            OverflowRecord::tombstone(2, ids[10], dim),
+            OverflowRecord::insert(2, 9_000, data.get(77).to_vec()),
+            OverflowRecord::insert(2, 9_001, data.get(300).to_vec()),
+            OverflowRecord::tombstone(2, ids[250], dim),
+            OverflowRecord::tombstone(2, 9_000, dim),
+        ];
+        let rec = OverflowRecord::wire_size(dim);
+        let mut area = vec![0u8; 8 + records.len() * rec];
+        area[0..8].copy_from_slice(&((records.len() * rec) as u64).to_le_bytes());
+        for (i, r) in records.iter().enumerate() {
+            area[8 + i * rec..8 + (i + 1) * rec].copy_from_slice(&r.to_bytes());
+        }
+        let loaded = LoadedCluster::from_remote_sq(&sq.to_bytes(), Some(&area)).unwrap();
+        assert_eq!(loaded.overflow_len(), 1);
+        let dead = [ids[10], ids[250], 9_000];
+
+        let queries = gen::perturbed_queries(&data, 50, 0.05, 32).unwrap();
+        let mut stats = SearchStats::default();
+        for q in queries.iter() {
+            let mut reference: Vec<(f32, u32)> = data
+                .iter()
+                .zip(&ids)
+                .filter(|(_, gid)| !dead.contains(gid))
+                .map(|(row, &gid)| {
+                    let back = sq.params().decode(&sq.params().encode(row));
+                    (vecsim::l2_sq(q, &back), gid)
+                })
+                .chain(std::iter::once((vecsim::l2_sq(q, data.get(300)), 9_001)))
+                .collect();
+            reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let hits = loaded.search_sq_with_stats(q, 42, &mut stats);
+            assert_eq!(hits.len(), 42);
+            for (i, h) in hits.iter().enumerate() {
+                assert!(!dead.contains(&h.id), "tombstoned id {} returned", h.id);
+                let (ref_dist, ref_id) = reference[i];
+                let close = |d: f32| (h.dist - d).abs() <= 1e-5 * d;
+                assert!(close(ref_dist), "rank {i}: {} vs {ref_dist}", h.dist);
+                if h.id != ref_id {
+                    // Only a tie may swap ids: the returned id must sit in
+                    // the reference at a distance equal to this rank's.
+                    let tied = reference.iter().any(|&(d, id)| id == h.id && close(d));
+                    assert!(tied, "rank {i}: id {} vs {ref_id} without a tie", h.id);
+                }
+            }
+        }
+        // One evaluation per live row: 398 base rows plus one insert.
+        assert_eq!(stats.dist_evals, 50 * 399);
     }
 
     #[test]

@@ -965,6 +965,11 @@ impl ComputeNode {
     /// Answers a batch of queries: top-`k` per query with sub-HNSW beam
     /// width `ef`, plus the batch's [`BatchReport`].
     ///
+    /// On the SQ8 wire format the sub-search is an exhaustive scan over
+    /// each cluster's codes (the compressed blob ships no graph), so `ef`
+    /// does not apply there; it still bounds the full-precision graph
+    /// walk.
+    ///
     /// Results carry global vector ids (base ids `0..base_len`, then
     /// insert-allocated ids) sorted by ascending distance.
     ///

@@ -36,7 +36,16 @@ use crate::{Error, Result};
 pub struct SqParams {
     min: Vec<f32>,
     scale: Vec<f32>,
+    /// Per-dimension quantization-noise variance, `mean(scale²) / 12`,
+    /// fixed at construction so [`SqParams::l2_error_bound`] does not
+    /// re-sum it for every hit.
+    var_per_dim: f32,
 }
+
+/// Independent accumulators in the distance kernels: sixteen f32 lanes
+/// let the compiler keep the loop in vector registers at the baseline
+/// target, with no data dependency between iterations.
+const LANES: usize = 16;
 
 impl SqParams {
     /// Trains parameters over `rows`, each a `dim`-length slice: per
@@ -74,7 +83,7 @@ impl SqParams {
             ));
         }
         let scale = (0..dim).map(|d| (max[d] - min[d]) / 255.0).collect();
-        Ok(SqParams { min, scale })
+        Ok(Self::assemble(min, scale))
     }
 
     /// Reassembles parameters from their serialized parts.
@@ -90,7 +99,20 @@ impl SqParams {
                 got: scale.len(),
             });
         }
-        Ok(SqParams { min, scale })
+        Ok(Self::assemble(min, scale))
+    }
+
+    fn assemble(min: Vec<f32>, scale: Vec<f32>) -> Self {
+        let var_per_dim = if scale.is_empty() {
+            0.0
+        } else {
+            scale.iter().map(|&s| s * s).sum::<f32>() / scale.len() as f32 / 12.0
+        };
+        SqParams {
+            min,
+            scale,
+            var_per_dim,
+        }
     }
 
     /// Vector dimensionality these parameters quantize.
@@ -142,17 +164,61 @@ impl SqParams {
     }
 
     /// Asymmetric squared-L2 distance: the f32 query against the
-    /// decoded code points, without materializing the decoded vector.
+    /// decoded code points, without materializing the decoded vector or
+    /// allocating. Scans that compare one query against many rows
+    /// should call [`SqParams::shift`] once and then
+    /// [`SqParams::shifted_l2`] per row instead; both produce the same
+    /// bits.
     pub fn asymmetric_l2(&self, query: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(query.len(), self.dim());
         debug_assert_eq!(codes.len(), self.dim());
-        let mut acc = 0.0f32;
-        for d in 0..codes.len() {
-            let x = self.min[d] + f32::from(codes[d]) * self.scale[d];
-            let diff = query[d] - x;
-            acc += diff * diff;
+        let mut acc = [0.0f32; LANES];
+        let (q, m) = (query.chunks_exact(LANES), self.min.chunks_exact(LANES));
+        let (c, s) = (codes.chunks_exact(LANES), self.scale.chunks_exact(LANES));
+        let tails = (q.remainder(), m.remainder(), c.remainder(), s.remainder());
+        for (((q, m), c), s) in q.zip(m).zip(c).zip(s) {
+            let a: [f32; LANES] = std::array::from_fn(|l| q[l] - m[l]);
+            accumulate(&mut acc, &a, c, s);
         }
-        acc
+        let mut tail = 0.0f32;
+        let (q_tail, m_tail, c_tail, s_tail) = tails;
+        for (((&q, &m), &c), &s) in q_tail.iter().zip(m_tail).zip(c_tail).zip(s_tail) {
+            let diff = (q - m) - f32::from(c) * s;
+            tail += diff * diff;
+        }
+        acc.iter().sum::<f32>() + tail
+    }
+
+    /// The query moved into code space, `query − min`: computed once per
+    /// (query, cluster) so the per-row kernel [`SqParams::shifted_l2`]
+    /// only multiplies codes by their step sizes.
+    pub fn shift(&self, query: &[f32]) -> Vec<f32> {
+        debug_assert_eq!(query.len(), self.dim());
+        query.iter().zip(&self.min).map(|(&q, &m)| q - m).collect()
+    }
+
+    /// Asymmetric squared-L2 distance from a [`SqParams::shift`]ed query
+    /// to one row of codes: `Σ (a_d − code_d·scale_d)²`, bit-identical
+    /// to [`SqParams::asymmetric_l2`] on the unshifted query.
+    pub fn shifted_l2(&self, shifted: &[f32], codes: &[u8]) -> f32 {
+        debug_assert_eq!(shifted.len(), self.dim());
+        debug_assert_eq!(codes.len(), self.dim());
+        let mut acc = [0.0f32; LANES];
+        let (a, c, s) = (
+            shifted.chunks_exact(LANES),
+            codes.chunks_exact(LANES),
+            self.scale.chunks_exact(LANES),
+        );
+        let (a_tail, c_tail, s_tail) = (a.remainder(), c.remainder(), s.remainder());
+        for ((a, c), s) in a.zip(c).zip(s) {
+            accumulate(&mut acc, a, c, s);
+        }
+        let mut tail = 0.0f32;
+        for ((&a, &c), &s) in a_tail.iter().zip(c_tail).zip(s_tail) {
+            let diff = a - f32::from(c) * s;
+            tail += diff * diff;
+        }
+        acc.iter().sum::<f32>() + tail
     }
 
     /// Scale of the error the quantization noise adds to a squared-L2
@@ -166,20 +232,26 @@ impl SqParams {
     /// natural unit for "these two approximate distances are too close
     /// to order without exact rerank".
     pub fn l2_error_bound(&self, d_hat: f32) -> f32 {
-        let dim = self.dim();
-        if dim == 0 {
-            return 0.0;
-        }
-        let mean_sq_scale =
-            self.scale.iter().map(|&s| s * s).sum::<f32>() / dim as f32;
-        let var_per_dim = mean_sq_scale / 12.0;
-        2.0 * (d_hat.max(0.0) * var_per_dim).sqrt() + dim as f32 * var_per_dim
+        2.0 * (d_hat.max(0.0) * self.var_per_dim).sqrt() + self.dim() as f32 * self.var_per_dim
     }
 
     /// The largest per-component round-trip error these parameters can
     /// produce on in-range data: `max_d scale[d] / 2`.
     pub fn max_component_error(&self) -> f32 {
         self.scale.iter().fold(0.0f32, |a, &s| a.max(s / 2.0))
+    }
+}
+
+/// One 16-lane step of the SQ8 kernels: `acc[l] += (a[l] − c[l]·s[l])²`.
+/// The slices are exactly [`LANES`] long (they come from
+/// `chunks_exact`), which lets the compiler drop the bounds checks and
+/// vectorize the body.
+#[inline(always)]
+fn accumulate(acc: &mut [f32; LANES], a: &[f32], c: &[u8], s: &[f32]) {
+    let (a, c, s) = (&a[..LANES], &c[..LANES], &s[..LANES]);
+    for l in 0..LANES {
+        let diff = a[l] - f32::from(c[l]) * s[l];
+        acc[l] += diff * diff;
     }
 }
 
@@ -238,6 +310,47 @@ mod tests {
             let via_decode = l2_sq(q, &params.decode(&codes));
             let direct = params.asymmetric_l2(q, &codes);
             assert!((via_decode - direct).abs() <= 1e-2 * via_decode.max(1.0));
+        }
+    }
+
+    #[test]
+    fn lane_kernels_match_decode_then_exact_at_every_remainder() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        for dim in [0usize, 1, 3, 15, 16, 17, 31, 128, 960] {
+            let min: Vec<f32> = (0..dim).map(|_| rng.gen_range(-50.0f32..50.0)).collect();
+            // Every fifth dimension is constant (zero scale).
+            let scale: Vec<f32> = (0..dim)
+                .map(|d| {
+                    if d % 5 == 2 {
+                        0.0
+                    } else {
+                        rng.gen_range(0.01f32..1.0)
+                    }
+                })
+                .collect();
+            let params = SqParams::from_parts(min, scale).unwrap();
+            for row in 0..8 {
+                // Rows 0 and 1 sit on the boundary codes; the rest mix
+                // both boundaries into random codes.
+                let codes: Vec<u8> = (0..dim)
+                    .map(|d| match (row, d % 7) {
+                        (0, _) | (_, 0) => 0,
+                        (1, _) | (_, 1) => 255,
+                        _ => rng.gen_range(0u8..=255),
+                    })
+                    .collect();
+                let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-60.0f32..310.0)).collect();
+                let reference = l2_sq(&q, &params.decode(&codes));
+                let direct = params.asymmetric_l2(&q, &codes);
+                let shifted = params.shifted_l2(&params.shift(&q), &codes);
+                assert_eq!(direct.to_bits(), shifted.to_bits(), "dim {dim} row {row}");
+                assert!(
+                    (direct - reference).abs() <= 1e-5 * reference,
+                    "dim {dim} row {row}: {direct} vs {reference}"
+                );
+            }
         }
     }
 

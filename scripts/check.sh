@@ -39,6 +39,11 @@ fi
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# The benchmark is its own workspace and calls the SQ8 kernel and scan
+# directly; build and test it so an API change cannot break it silently.
+echo "==> cargo test (perfbench)"
+cargo test --offline --manifest-path perfbench/Cargo.toml -q
+
 # The search-thread and pipeline-depth knobs must not change any
 # observable result: the whole suite runs across the matrix (the
 # baseline run above already covered threads=auto x depth=1).
