@@ -217,8 +217,11 @@ pub struct BatchReport {
     /// Queries answered from an incomplete cluster set because a read
     /// exhausted the engine retry budget (degraded mode).
     pub degraded_queries: usize,
-    /// Engine-level read retries this batch performed (version-mismatch
-    /// reloads plus post-retransmission verb retries).
+    /// Engine-level read retries this batch performed. Every read
+    /// counts the same way: +1 per post that exhausted the substrate's
+    /// retransmission budget, and +1 per partition whose version pair
+    /// disagreed (a torn read, or a cached pin a writer moved). The
+    /// re-sent spans are the ledger's `retry` bytes.
     pub read_retries: u64,
     /// Byte/trip provenance: where this batch's read traffic went, by
     /// cause. `ledger.total_bytes() == bytes_read` on every batch.

@@ -460,12 +460,6 @@ impl OverflowRecord {
         (16 + 4 * dim + 4 + 7) & !7
     }
 
-    /// On-wire size under the v1 framing (no length prefix, checksum, or
-    /// commit marker). Kept for decoding pre-v2 snapshots.
-    pub fn wire_size_legacy(dim: usize) -> usize {
-        (8 + 4 * dim + 7) & !7
-    }
-
     /// Encodes the record into exactly [`OverflowRecord::wire_size`]
     /// bytes, commit marker in the slot's final word.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -529,34 +523,6 @@ impl OverflowRecord {
             tombstone: tag & TOMBSTONE_BIT != 0,
         })
     }
-
-    /// Decodes one record under the v1 framing (tag, global id, payload;
-    /// no integrity fields). Pre-v2 snapshots use this layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupt`] when `bytes` is shorter than
-    /// [`OverflowRecord::wire_size_legacy`].
-    pub fn from_bytes_legacy(bytes: &[u8], dim: usize) -> Result<Self> {
-        if bytes.len() < Self::wire_size_legacy(dim) {
-            return Err(Error::Corrupt("truncated overflow record".into()));
-        }
-        let tag = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-        let global_id = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        let mut vector = Vec::with_capacity(dim);
-        for i in 0..dim {
-            let off = 8 + 4 * i;
-            vector.push(f32::from_le_bytes(
-                bytes[off..off + 4].try_into().expect("4 bytes"),
-            ));
-        }
-        Ok(OverflowRecord {
-            partition: tag & !TOMBSTONE_BIT,
-            global_id,
-            vector,
-            tombstone: tag & TOMBSTONE_BIT != 0,
-        })
-    }
 }
 
 /// Parses a raw overflow area: an 8-byte little-endian `used` counter
@@ -604,30 +570,6 @@ pub fn parse_overflow_detailed(
         }
     }
     Ok((out, skipped))
-}
-
-/// [`parse_overflow`] under the v1 framing, for pre-v2 snapshots. v1
-/// slots carry no commit marker, so a torn insert is indistinguishable
-/// from a record of zeros — exactly the defect the v2 framing removes.
-///
-/// # Errors
-///
-/// Returns [`Error::Corrupt`] when the area is shorter than its counter
-/// header or a record is truncated.
-pub fn parse_overflow_legacy(area: &[u8], dim: usize) -> Result<Vec<OverflowRecord>> {
-    if area.len() < 8 {
-        return Err(Error::Corrupt("overflow area shorter than header".into()));
-    }
-    let used = u64::from_le_bytes(area[0..8].try_into().expect("8 bytes")) as usize;
-    let rec = OverflowRecord::wire_size_legacy(dim);
-    let usable = used.min(area.len() - 8);
-    let count = usable / rec;
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let off = 8 + i * rec;
-        out.push(OverflowRecord::from_bytes_legacy(&area[off..off + rec], dim)?);
-    }
-    Ok(out)
 }
 
 /// The searchable body of a [`LoadedCluster`]: the full-precision
@@ -1043,33 +985,6 @@ mod tests {
         bytes[17] ^= 0x01; // flip a payload bit, marker intact
         let err = OverflowRecord::from_bytes(&bytes, dim).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn legacy_framing_still_decodes() {
-        // Hand-packed v1 slot: tag, global id, payload, pad — no header
-        // extensions, no commit marker.
-        let dim = 3;
-        let rec = OverflowRecord::wire_size_legacy(dim);
-        assert_eq!(rec, (8 + 4 * dim + 7) & !7);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(6u32 | TOMBSTONE_BIT).to_le_bytes());
-        bytes.extend_from_slice(&123u32.to_le_bytes());
-        for x in [1.0f32, 2.0, 3.0] {
-            bytes.extend_from_slice(&x.to_le_bytes());
-        }
-        bytes.resize(rec, 0);
-        let r = OverflowRecord::from_bytes_legacy(&bytes, dim).unwrap();
-        assert_eq!(r.partition, 6);
-        assert_eq!(r.global_id, 123);
-        assert!(r.tombstone);
-        assert_eq!(r.vector, vec![1.0, 2.0, 3.0]);
-
-        let mut area = vec![0u8; 8 + rec];
-        area[0..8].copy_from_slice(&(rec as u64).to_le_bytes());
-        area[8..].copy_from_slice(&bytes);
-        let got = parse_overflow_legacy(&area, dim).unwrap();
-        assert_eq!(got, vec![r]);
     }
 
     #[test]

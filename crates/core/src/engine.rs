@@ -40,7 +40,7 @@ use crate::health::report::{
 };
 use crate::health::skew::skew_of;
 use crate::layout::{Directory, DIRECTORY_PEEK_BYTES, ID_COUNTER_OFFSET};
-use crate::loader::{plan_batch, read_requests_tagged, stage_loads};
+use crate::loader::{plan_batch, stage_loads};
 use crate::meta::MetaIndex;
 use crate::store::VectorStore;
 use crate::telemetry::span::{ArgValue, BatchTrace, QpSpanSink, SpanId};
@@ -52,6 +52,49 @@ use crate::{DHnswConfig, Error, Result};
 /// the compressed blob, optionally followed by the group's raw overflow
 /// area (present exactly when the partition's version was nonzero).
 type StableLoads = Vec<(u32, u64, Vec<u8>)>;
+
+/// One remote span a read wants: `len` bytes at `off`, guarded by
+/// `partition`'s version slot when the read is bracketed.
+#[derive(Debug, Clone, Copy)]
+struct Want {
+    partition: u32,
+    off: u64,
+    len: u64,
+    /// The version a cached copy of the span was loaded at. Its opening
+    /// bracket is then already known, so the first post reads only the
+    /// closing version slot, and the span is fetched only if it moved.
+    held: Option<u64>,
+}
+
+impl Want {
+    fn new(partition: u32, (off, len): (u64, u64)) -> Self {
+        Want {
+            partition,
+            off,
+            len,
+            held: None,
+        }
+    }
+}
+
+/// What [`ComputeNode::read_stable`] hands back; indices refer to its
+/// `wants` slice.
+#[derive(Debug, Default)]
+struct Fetched {
+    /// `(want index, version, bytes)` for every span that arrived between two
+    /// agreeing version reads (version 0 when unbracketed). A held want
+    /// whose version did not move has nothing to fetch and is absent.
+    stable: Vec<(usize, u64, Vec<u8>)>,
+    /// Held wants whose version moved: the caller's copy is stale,
+    /// whether or not the re-read then succeeded.
+    stale: Vec<usize>,
+    /// Wants still outstanding when the retry budget ran out.
+    exhausted: Vec<usize>,
+    /// Retry budget spent, including what was spent before the read.
+    attempts: u32,
+    /// Retries to charge to [`BatchReport::read_retries`].
+    retries: u64,
+}
 
 /// One quantized-search candidate, carrying enough addressing to rerank
 /// it with an exact full-precision read.
@@ -1027,11 +1070,8 @@ impl ComputeNode {
         );
         let t0 = Instant::now();
         let outcome = match self.mode {
-            SearchMode::Full => {
-                self.query_batch_planned(queries, opts.k, opts.ef, b, true, &trace, root)
-            }
-            SearchMode::NoDoorbell => {
-                self.query_batch_planned(queries, opts.k, opts.ef, b, false, &trace, root)
+            SearchMode::Full | SearchMode::NoDoorbell => {
+                self.query_batch_planned(queries, opts.k, opts.ef, b, &trace, root)
             }
             SearchMode::Naive => self.query_batch_naive(queries, opts.k, opts.ef, b, &trace, root),
         };
@@ -1105,14 +1145,12 @@ impl ComputeNode {
 
     /// The Full / NoDoorbell path: route → plan → load once per cluster →
     /// search.
-    #[allow(clippy::too_many_arguments)]
     fn query_batch_planned(
         &self,
         queries: &Dataset,
         k: usize,
         ef: usize,
         b: usize,
-        doorbell: bool,
         trace: &BatchTrace,
         root: SpanId,
     ) -> Result<(Vec<Vec<Neighbor>>, BatchReport)> {
@@ -1203,11 +1241,10 @@ impl ComputeNode {
         // in the cache across stages, and cached-pin version verifies
         // ride stage 0's doorbell so a stale entry is demoted and
         // reloaded before *any* stage searches it.
-        let versioned = self.directory.has_version_slots();
-        let verify: Vec<(u32, u64)> = if versioned && !plan.to_load.is_empty() {
-            pinned_versions
-        } else {
+        let verify: Vec<(u32, u64)> = if plan.to_load.is_empty() {
             Vec::new()
+        } else {
+            pinned_versions
         };
         let depth = self.pipeline_depth().clamp(1, queries.len());
         let chunk = queries.len().div_ceil(depth);
@@ -1253,8 +1290,6 @@ impl ComputeNode {
                         0,
                         pending,
                         verify0,
-                        doorbell,
-                        versioned,
                         trace,
                         root,
                         &mut resolved,
@@ -1273,8 +1308,6 @@ impl ComputeNode {
                     i + 1,
                     std::mem::take(&mut staged[i + 1]),
                     Vec::new(),
-                    doorbell,
-                    versioned,
                     trace,
                     root,
                     &mut resolved,
@@ -1417,8 +1450,15 @@ impl ComputeNode {
         // bytes land in this batch's ledger.
         if self.use_sq {
             let t_rr = Instant::now();
-            let rr_vt =
-                self.rerank_exact(queries, k, &mut pools_all, &resolved, doorbell, trace, root, &mut report)?;
+            let rr_vt = self.rerank_exact(
+                queries,
+                k,
+                &mut pools_all,
+                &resolved,
+                trace,
+                root,
+                &mut report,
+            )?;
             report.breakdown.network_us += rr_vt;
             report.breakdown.sub_hnsw_us += t_rr.elapsed().as_secs_f64() * 1e6;
             searched_all = std::mem::take(&mut pools_all)
@@ -1456,15 +1496,15 @@ impl ComputeNode {
     }
 
     /// Loads one pipeline stage's pending clusters — plus any
-    /// piggybacked cached-pin version verifies — under the optimistic
-    /// version protocol: each span travels between two reads of its
-    /// partition's version slot; a mismatch means a writer committed
-    /// mid-read and the span is re-fetched. Cached pins whose verify
-    /// fails are demoted (invalidated and reloaded with this stage).
-    /// Substrate retransmission-budget errors are retried here too, with
-    /// exponential backoff charged to virtual time; past the engine
-    /// budget the stage's survivors land in `failed` when degraded
-    /// results are allowed, otherwise the batch errors.
+    /// piggybacked cached-pin version verifies — through
+    /// [`ComputeNode::read_stable`]. Cached pins whose version moved are
+    /// demoted: invalidated and reloaded with this stage. In SQ8 mode a
+    /// partition whose version is nonzero has overflow records the
+    /// compressed blob lacks, so a second bracketed read fetches its
+    /// overflow area; the blob is immutable, so only a torn overflow
+    /// read is re-sent. Both reads share the stage's retry budget. Past
+    /// it, the stage's survivors land in `failed` when degraded results
+    /// are allowed, otherwise the batch errors.
     ///
     /// Returns the stabilized `(partition, version, span)` triples and
     /// the stage's virtual network time.
@@ -1472,10 +1512,8 @@ impl ComputeNode {
     fn load_stage(
         &self,
         stage: usize,
-        mut pending: Vec<u32>,
-        mut verify: Vec<(u32, u64)>,
-        doorbell: bool,
-        versioned: bool,
+        pending: Vec<u32>,
+        verify: Vec<(u32, u64)>,
         trace: &BatchTrace,
         root: SpanId,
         resolved: &mut HashMap<u32, Arc<LoadedCluster>>,
@@ -1485,201 +1523,79 @@ impl ComputeNode {
     ) -> Result<(StableLoads, f64)> {
         let s_net = trace.begin_span("network", "engine", root);
         trace.add_args(s_net, &[("stage", ArgValue::U64(stage as u64))]);
+        let close = |e: Error| {
+            trace.end_span(s_net);
+            e
+        };
         let clock0 = self.qp.clock().now_us();
         let stats0 = self.qp.stats().snapshot();
-        // (partition, version-at-load, span bytes) that passed the check.
-        let mut stable: Vec<(u32, u64, Vec<u8>)> = Vec::new();
-        let mut attempt: u32 = 0;
-        while !pending.is_empty() || !verify.is_empty() {
-            // Provenance: version-slot reads are version checks, cluster
-            // spans are stage loads on the first attempt and retries
-            // afterwards — so a retry storm shows up as `retry` bytes in
-            // the ledger, not inflated stage-load traffic.
-            let span_cause = if attempt == 0 {
-                ReadCause::StageLoad
-            } else {
-                ReadCause::Retry
-            };
-            let mut reqs = Vec::with_capacity(verify.len() + 3 * pending.len());
-            for &(p, _) in &verify {
-                reqs.push(
-                    rdma_sim::ReadReq::new(self.rkey, self.directory.version_slot_off(p)?, 8)
-                        .with_cause(ReadCause::VersionCheck),
-                );
-            }
-            if versioned {
-                for &p in &pending {
-                    let vs = rdma_sim::ReadReq::new(
-                        self.rkey,
-                        self.directory.version_slot_off(p)?,
-                        8,
-                    )
-                    .with_cause(ReadCause::VersionCheck);
-                    let (off, len) = self.load_span(p)?;
-                    reqs.push(vs);
-                    reqs.push(rdma_sim::ReadReq::new(self.rkey, off, len).with_cause(span_cause));
-                    reqs.push(vs);
-                }
-            } else {
-                reqs.extend(read_requests_tagged(
-                    &self.directory,
-                    self.rkey,
-                    &pending,
-                    span_cause,
-                )?);
-            }
-            let outcome = {
-                let _scope = trace.enter_scope(s_net);
-                if doorbell {
-                    self.qp.read_doorbell(&reqs)
-                } else {
-                    reqs.iter()
-                        .map(|r| self.qp.read_with_cause(r.rkey, r.offset, r.len, r.cause))
-                        .collect::<std::result::Result<Vec<_>, _>>()
-                }
-            };
-            let buffers = match outcome {
-                Ok(buffers) => buffers,
-                Err(rdma_sim::Error::RetriesExhausted { .. }) => {
-                    attempt += 1;
-                    report.read_retries += 1;
-                    if attempt > self.config.read_retry_limit() {
-                        if self.config.degraded_ok() {
-                            failed.append(&mut pending);
-                            verify.clear();
-                            break;
-                        }
-                        trace.end_span(s_net);
-                        return Err(Error::ReadRetriesExhausted {
-                            partition: pending.first().copied().unwrap_or_default(),
-                            attempts: attempt,
-                        });
-                    }
-                    self.backoff(attempt, trace, s_net, pending.len());
-                    continue;
-                }
-                Err(e) => {
-                    trace.end_span(s_net);
-                    return Err(e.into());
-                }
-            };
-            let mut bufs = buffers.into_iter();
-            let mut unstable: Vec<u32> = Vec::new();
-            for &(p, pinned) in &verify {
-                let now = read_version(&bufs.next().expect("one buffer per request"))?;
-                if now != pinned {
-                    // A writer moved the cluster since we cached it:
-                    // drop the stale pin and reload it with this stage.
-                    self.cache.lock().invalidate(p);
-                    resolved.remove(&p);
-                    unstable.push(p);
-                    *demoted += 1;
-                }
-            }
-            verify.clear();
-            let mut needs_overflow: Vec<(u32, Vec<u8>)> = Vec::new();
-            for &p in &pending {
-                if versioned {
-                    let before = read_version(&bufs.next().expect("version read"))?;
-                    let span = bufs.next().expect("span read");
-                    let after = read_version(&bufs.next().expect("version read"))?;
-                    if before == after {
-                        if self.use_sq && after != 0 {
-                            // The compressed blob carries no overflow
-                            // records; a nonzero version proves some
-                            // exist, so a follow-up read is required.
-                            needs_overflow.push((p, span));
-                        } else {
-                            stable.push((p, after, span));
-                        }
-                    } else {
-                        unstable.push(p);
-                    }
-                } else {
-                    stable.push((p, 0, bufs.next().expect("span read")));
-                }
-            }
-            // SQ8 follow-up: fetch the mutated partitions' overflow
-            // areas (bracketed again) and append each to its blob for
-            // materialization. The blob itself is immutable, so a
-            // version moving *between* the two rounds is harmless — the
-            // newer overflow strictly supersedes the older; only a torn
-            // overflow read (bracket mismatch) sends the partition
-            // around again.
-            if !needs_overflow.is_empty() {
-                let mut oreqs = Vec::with_capacity(3 * needs_overflow.len());
-                for &(p, _) in &needs_overflow {
-                    let vs = rdma_sim::ReadReq::new(
-                        self.rkey,
-                        self.directory.version_slot_off(p)?,
-                        8,
-                    )
-                    .with_cause(ReadCause::VersionCheck);
-                    let loc = self.directory.location(p)?;
-                    oreqs.push(vs);
-                    oreqs.push(
-                        rdma_sim::ReadReq::new(self.rkey, loc.overflow_off, loc.overflow_len)
-                            .with_cause(ReadCause::OverflowScan),
-                    );
-                    oreqs.push(vs);
-                }
-                let outcome = {
-                    let _scope = trace.enter_scope(s_net);
-                    if doorbell {
-                        self.qp.read_doorbell(&oreqs)
-                    } else {
-                        oreqs
-                            .iter()
-                            .map(|r| self.qp.read_with_cause(r.rkey, r.offset, r.len, r.cause))
-                            .collect::<std::result::Result<Vec<_>, _>>()
-                    }
-                };
-                match outcome {
-                    Ok(buffers) => {
-                        let mut obufs = buffers.into_iter();
-                        for (p, mut span) in needs_overflow {
-                            let before = read_version(&obufs.next().expect("version read"))?;
-                            let area = obufs.next().expect("overflow read");
-                            let after = read_version(&obufs.next().expect("version read"))?;
-                            if before == after {
-                                span.extend_from_slice(&area);
-                                stable.push((p, after, span));
-                            } else {
-                                unstable.push(p);
-                            }
-                        }
-                    }
-                    Err(rdma_sim::Error::RetriesExhausted { .. }) => {
-                        // Send them back through the shared retry budget
-                        // (blob and overflow are re-read together).
-                        report.read_retries += 1;
-                        unstable.extend(needs_overflow.into_iter().map(|(p, _)| p));
-                    }
-                    Err(e) => {
-                        trace.end_span(s_net);
-                        return Err(e.into());
-                    }
-                }
-            }
-            if unstable.is_empty() {
-                break;
-            }
-            attempt += 1;
-            report.read_retries += unstable.len() as u64;
-            if attempt > self.config.read_retry_limit() {
-                if self.config.degraded_ok() {
-                    failed.append(&mut unstable);
-                    break;
-                }
-                trace.end_span(s_net);
-                return Err(Error::ReadRetriesExhausted {
-                    partition: unstable[0],
-                    attempts: attempt,
-                });
-            }
-            self.backoff(attempt, trace, s_net, unstable.len());
-            pending = unstable;
+        let mut wants = Vec::with_capacity(verify.len() + pending.len());
+        for &(p, version) in &verify {
+            let span = self.load_span(p).map_err(close)?;
+            wants.push(Want {
+                held: Some(version),
+                ..Want::new(p, span)
+            });
         }
+        for &p in &pending {
+            wants.push(Want::new(p, self.load_span(p).map_err(close)?));
+        }
+        let blobs = self
+            .read_stable(&wants, ReadCause::StageLoad, true, 0, trace, s_net)
+            .map_err(close)?;
+        report.read_retries += blobs.retries;
+        // A writer moved these pins since they were cached: drop them so
+        // this stage's reload replaces them.
+        for &i in &blobs.stale {
+            self.cache.lock().invalidate(wants[i].partition);
+            resolved.remove(&wants[i].partition);
+            *demoted += 1;
+        }
+        let first_lost = blobs.exhausted.first().map(|&i| wants[i].partition);
+        self.give_up(first_lost, blobs.attempts).map_err(close)?;
+        // A pin whose check never went through keeps its cached copy, as
+        // in an all-warm batch; every other exhausted want failed.
+        failed.extend(
+            blobs
+                .exhausted
+                .iter()
+                .filter(|&i| *i >= verify.len() || blobs.stale.contains(i))
+                .map(|&i| wants[i].partition),
+        );
+
+        let mut stable: StableLoads = Vec::with_capacity(blobs.stable.len());
+        let mut mutated: Vec<Want> = Vec::new();
+        let mut mutated_blobs: Vec<Vec<u8>> = Vec::new();
+        for (i, version, span) in blobs.stable {
+            let p = wants[i].partition;
+            if self.use_sq && version != 0 {
+                let loc = self.directory.location(p).map_err(close)?;
+                mutated.push(Want::new(p, (loc.overflow_off, loc.overflow_len)));
+                mutated_blobs.push(span);
+            } else {
+                stable.push((p, version, span));
+            }
+        }
+        let areas = self
+            .read_stable(
+                &mutated,
+                ReadCause::OverflowScan,
+                true,
+                blobs.attempts,
+                trace,
+                s_net,
+            )
+            .map_err(close)?;
+        report.read_retries += areas.retries;
+        for (i, version, area) in areas.stable {
+            let mut span = std::mem::take(&mut mutated_blobs[i]);
+            span.extend_from_slice(&area);
+            stable.push((mutated[i].partition, version, span));
+        }
+        let first_lost = areas.exhausted.first().map(|&i| mutated[i].partition);
+        self.give_up(first_lost, areas.attempts).map_err(close)?;
+        failed.extend(areas.exhausted.iter().map(|&i| mutated[i].partition));
+
         let vt = self.qp.clock().now_us() - clock0;
         let stats_delta = self.qp.stats().snapshot() - stats0;
         if self.heatmap.is_enabled() {
@@ -1723,7 +1639,6 @@ impl ComputeNode {
         k: usize,
         pools: &mut [(Vec<SqCand>, f64)],
         resolved: &HashMap<u32, Arc<LoadedCluster>>,
-        doorbell: bool,
         trace: &BatchTrace,
         root: SpanId,
         report: &mut BatchReport,
@@ -1773,78 +1688,46 @@ impl ComputeNode {
             return Ok(0.0);
         }
 
-        let dim = self.directory.dim();
-        let vec_bytes = (dim * 4) as u64;
+        let vec_bytes = (self.directory.dim() * 4) as u64;
+        let mut wants = Vec::with_capacity(need.len());
+        for &(p, local) in &need {
+            let loc = self.directory.location(p)?;
+            let rows = resolved
+                .get(&p)
+                .and_then(|c| c.sq())
+                .map(|sq| sq.len())
+                .ok_or_else(|| {
+                    Error::Corrupt(format!("rerank candidate in unresolved cluster {p}"))
+                })?;
+            // Serialized clusters end with the raw row-major f32
+            // vectors, so row `local` sits a fixed distance from the
+            // blob's tail.
+            let off =
+                loc.cluster_off + loc.cluster_len - (rows as u64 - u64::from(local)) * vec_bytes;
+            wants.push(Want::new(p, (off, vec_bytes)));
+        }
         let s_rr = trace.begin_span("rerank", "engine", root);
+        let close = |e: Error| {
+            trace.end_span(s_rr);
+            e
+        };
         let clock0 = self.qp.clock().now_us();
-        let mut fetched: HashMap<(u32, u32), Vec<f32>> = HashMap::with_capacity(need.len());
-        let mut pending = need;
-        let mut attempt = 0u32;
-        while !pending.is_empty() {
-            let mut reqs = Vec::with_capacity(pending.len());
-            for &(p, local) in &pending {
-                let loc = self.directory.location(p)?;
-                let rows = resolved
-                    .get(&p)
-                    .and_then(|c| c.sq())
-                    .map(|sq| sq.len())
-                    .ok_or_else(|| {
-                        Error::Corrupt(format!("rerank candidate in unresolved cluster {p}"))
-                    })?;
-                // Serialized clusters end with the raw row-major f32
-                // vectors, so row `local` sits a fixed distance from
-                // the blob's tail.
-                let off = loc.cluster_off + loc.cluster_len
-                    - (rows as u64 - u64::from(local)) * vec_bytes;
-                reqs.push(
-                    rdma_sim::ReadReq::new(self.rkey, off, vec_bytes)
-                        .with_cause(ReadCause::Rerank),
-                );
-            }
-            let outcome = {
-                let _scope = trace.enter_scope(s_rr);
-                if doorbell {
-                    self.qp.read_doorbell(&reqs)
-                } else {
-                    reqs.iter()
-                        .map(|r| self.qp.read_with_cause(r.rkey, r.offset, r.len, r.cause))
-                        .collect::<std::result::Result<Vec<_>, _>>()
-                }
-            };
-            match outcome {
-                Ok(buffers) => {
-                    for (&key, buf) in pending.iter().zip(&buffers) {
-                        let mut v = Vec::with_capacity(dim);
-                        for ch in buf.chunks_exact(4) {
-                            v.push(f32::from_le_bytes(ch.try_into().expect("4 bytes")));
-                        }
-                        fetched.insert(key, v);
-                    }
-                    pending.clear();
-                }
-                Err(rdma_sim::Error::RetriesExhausted { .. }) => {
-                    attempt += 1;
-                    report.read_retries += 1;
-                    if attempt > self.config.read_retry_limit() {
-                        if self.config.degraded_ok() {
-                            // Unfetched candidates keep their asymmetric
-                            // distances: the answer degrades gracefully
-                            // instead of failing the batch.
-                            break;
-                        }
-                        trace.end_span(s_rr);
-                        return Err(Error::ReadRetriesExhausted {
-                            partition: pending[0].0,
-                            attempts: attempt,
-                        });
-                    }
-                    self.backoff(attempt, trace, s_rr, pending.len());
-                }
-                Err(e) => {
-                    trace.end_span(s_rr);
-                    return Err(e.into());
-                }
-            }
+        let read = self
+            .read_stable(&wants, ReadCause::Rerank, false, 0, trace, s_rr)
+            .map_err(close)?;
+        report.read_retries += read.retries;
+        // Past the budget under `degraded_ok`, unfetched candidates keep
+        // their asymmetric distances: the answer degrades gracefully
+        // instead of failing the batch.
+        self.give_up(read.exhausted.first().map(|&i| need[i].0), read.attempts)
+            .map_err(close)?;
+        let mut fetched: HashMap<(u32, u32), Vec<f32>> = HashMap::with_capacity(read.stable.len());
+        for (i, _, buf) in read.stable {
+            let v = buf
+                .chunks_exact(4)
+                .map(|ch| f32::from_le_bytes(ch.try_into().expect("4 bytes")))
+                .collect();
+            fetched.insert(need[i], v);
         }
         let vt = self.qp.clock().now_us() - clock0;
         let fetched_n = fetched.len() as u64;
@@ -1918,7 +1801,7 @@ impl ComputeNode {
             .take(capacity)
             .map(|h| h.partition)
             .collect();
-        let mut picks: Vec<u32> = Vec::new();
+        let mut picks: Vec<Want> = Vec::new();
         let mut planned_bytes = 0u64;
         {
             let cache = self.cache.lock();
@@ -1926,17 +1809,17 @@ impl ComputeNode {
                 if cache.contains(p) {
                     continue;
                 }
-                let Ok((_, len)) = self.load_span(p) else {
+                let Ok(span) = self.load_span(p) else {
                     continue;
                 };
                 // Budget-gated picks are skipped, not queued: they fail
                 // the same gate every round, so a too-small budget never
                 // causes repeated load traffic for the same cluster.
-                if planned_bytes + len > budget {
+                if planned_bytes + span.1 > budget {
                     continue;
                 }
-                planned_bytes += len;
-                picks.push(p);
+                planned_bytes += span.1;
+                picks.push(Want::new(p, span));
             }
         }
         if picks.is_empty() {
@@ -1947,88 +1830,18 @@ impl ComputeNode {
         let root = trace.begin_span("prefetch", "engine", SpanId::NONE);
         let clock0 = self.qp.clock().now_us();
         let stats0 = self.qp.stats().snapshot();
-        let versioned = self.directory.has_version_slots();
-        let doorbell = self.mode == SearchMode::Full;
-        let mut stable: Vec<(u32, u64, Vec<u8>)> = Vec::new();
-        let mut pending = picks.clone();
-        let mut attempt: u32 = 0;
-        'load: while !pending.is_empty() {
-            let mut reqs = Vec::with_capacity(3 * pending.len());
-            for &p in &pending {
-                let Ok((off, len)) = self.load_span(p) else {
-                    break 'load;
-                };
-                if versioned {
-                    let Ok(vs_off) = self.directory.version_slot_off(p) else {
-                        break 'load;
-                    };
-                    let vs = rdma_sim::ReadReq::new(self.rkey, vs_off, 8)
-                        .with_cause(ReadCause::VersionCheck);
-                    reqs.push(vs);
-                    reqs.push(
-                        rdma_sim::ReadReq::new(self.rkey, off, len)
-                            .with_cause(ReadCause::Prefetch),
-                    );
-                    reqs.push(vs);
-                } else {
-                    reqs.push(
-                        rdma_sim::ReadReq::new(self.rkey, off, len)
-                            .with_cause(ReadCause::Prefetch),
-                    );
-                }
-            }
-            let outcome = {
-                let _scope = trace.enter_scope(root);
-                if doorbell {
-                    self.qp.read_doorbell(&reqs)
-                } else {
-                    reqs.iter()
-                        .map(|r| self.qp.read_with_cause(r.rkey, r.offset, r.len, r.cause))
-                        .collect::<std::result::Result<Vec<_>, _>>()
-                }
-            };
-            // Best effort: a fault or persistent version churn abandons
-            // the survivors rather than burning the batch path's budget.
-            let Ok(buffers) = outcome else {
-                break;
-            };
-            let mut bufs = buffers.into_iter();
-            let mut unstable: Vec<u32> = Vec::new();
-            for &p in &pending {
-                if versioned {
-                    let (Ok(before), Some(span)) =
-                        (read_version(&bufs.next().expect("version read")), bufs.next())
-                    else {
-                        break 'load;
-                    };
-                    let Ok(after) = read_version(&bufs.next().expect("version read")) else {
-                        break 'load;
-                    };
-                    if before == after {
-                        if self.use_sq && after != 0 {
-                            // A mutated partition would need an overflow
-                            // follow-up read; prefetch is best-effort,
-                            // so leave it to the query path.
-                        } else {
-                            stable.push((p, after, span));
-                        }
-                    } else {
-                        unstable.push(p);
-                    }
-                } else {
-                    stable.push((p, 0, bufs.next().expect("span read")));
-                }
-            }
-            if unstable.is_empty() {
-                break;
-            }
-            attempt += 1;
-            if attempt > self.config.read_retry_limit() {
-                break;
-            }
-            self.backoff(attempt, &trace, root, unstable.len());
-            pending = unstable;
-        }
+        // Best effort: whatever the budget cannot stabilize is dropped,
+        // and prefetch retries never reach a batch's `read_retries`. A
+        // mutated partition would need the SQ8 overflow follow-up read,
+        // so it is left to the query path.
+        let stable: StableLoads = self
+            .read_stable(&picks, ReadCause::Prefetch, true, 0, &trace, root)
+            .map(|read| read.stable)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|(_, version, _)| !(self.use_sq && *version != 0))
+            .map(|(i, version, span)| (picks[i].partition, version, span))
+            .collect();
 
         let threads = self.config.effective_search_threads();
         let parts: Vec<u32> = stable.iter().map(|(p, _, _)| *p).collect();
@@ -2089,6 +1902,137 @@ impl ComputeNode {
         admitted
     }
 
+    /// Posts `reqs` and returns their buffers in request order. This is
+    /// the one place the search mode's wire strategy is applied: full
+    /// d-HNSW rings one doorbell for the whole list; the other modes
+    /// issue one read (one round trip) per request.
+    fn post(&self, reqs: &[rdma_sim::ReadReq]) -> rdma_sim::Result<Vec<Vec<u8>>> {
+        if self.mode == SearchMode::Full {
+            self.qp.read_doorbell(reqs)
+        } else {
+            reqs.iter()
+                .map(|r| self.qp.read_with_cause(r.rkey, r.offset, r.len, r.cause))
+                .collect()
+        }
+    }
+
+    /// The engine's one retrying remote read. Every want goes out in one
+    /// [`ComputeNode::post`]; with `bracket` set, each span travels
+    /// between two reads of its partition's version slot (the §3.2
+    /// `[version, span, version]` optimistic read), and a pair that
+    /// disagrees means a writer committed mid-read. Failed posts and
+    /// disagreeing pairs are re-sent together after a backoff, until
+    /// everything is stable or the budget spent passes the configured
+    /// retry limit. The budget starts at `spent`, so reads that chain
+    /// [`Fetched::attempts`] share one budget.
+    ///
+    /// Provenance: spans carry `cause` on the first post and
+    /// [`ReadCause::Retry`] when re-sent; version-slot reads are always
+    /// [`ReadCause::VersionCheck`]. [`Fetched::retries`] counts one per
+    /// failed post and one per want whose version pair disagreed.
+    ///
+    /// Whether an exhausted want fails the batch or degrades it is the
+    /// caller's decision (see [`ComputeNode::give_up`]).
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors other than an exhausted retransmission budget,
+    /// and short version-slot reads.
+    fn read_stable(
+        &self,
+        wants: &[Want],
+        cause: ReadCause,
+        bracket: bool,
+        spent: u32,
+        trace: &BatchTrace,
+        parent: SpanId,
+    ) -> Result<Fetched> {
+        let mut out = Fetched {
+            attempts: spent,
+            ..Fetched::default()
+        };
+        let mut pending: Vec<(usize, Option<u64>)> =
+            wants.iter().enumerate().map(|(i, w)| (i, w.held)).collect();
+        let mut span_cause = cause;
+        while !pending.is_empty() {
+            let mut reqs = Vec::with_capacity(3 * pending.len());
+            for &(i, held) in &pending {
+                let w = &wants[i];
+                let span = rdma_sim::ReadReq::new(self.rkey, w.off, w.len).with_cause(span_cause);
+                if !bracket {
+                    reqs.push(span);
+                    continue;
+                }
+                let slot = self.directory.version_slot_off(w.partition)?;
+                let vs =
+                    rdma_sim::ReadReq::new(self.rkey, slot, 8).with_cause(ReadCause::VersionCheck);
+                if held.is_none() {
+                    reqs.push(vs);
+                    reqs.push(span);
+                }
+                reqs.push(vs);
+            }
+            let posted = {
+                let _scope = trace.enter_scope(parent);
+                self.post(&reqs)
+            };
+            match posted {
+                Ok(buffers) => {
+                    let mut bufs = buffers.into_iter();
+                    let mut next = || bufs.next().expect("one buffer per request");
+                    let mut moved = Vec::new();
+                    for (i, held) in pending.drain(..) {
+                        if !bracket {
+                            out.stable.push((i, 0, next()));
+                            continue;
+                        }
+                        let (before, span) = match held {
+                            Some(version) => (version, None),
+                            None => (read_version(&next())?, Some(next())),
+                        };
+                        let after = read_version(&next())?;
+                        if before != after {
+                            if held.is_some() {
+                                out.stale.push(i);
+                            }
+                            moved.push((i, None));
+                        } else if let Some(span) = span {
+                            out.stable.push((i, after, span));
+                        }
+                    }
+                    if moved.is_empty() {
+                        break;
+                    }
+                    out.retries += moved.len() as u64;
+                    pending = moved;
+                }
+                Err(rdma_sim::Error::RetriesExhausted { .. }) => out.retries += 1,
+                Err(e) => return Err(e.into()),
+            }
+            out.attempts += 1;
+            if out.attempts > self.config.read_retry_limit() {
+                out.exhausted = pending.into_iter().map(|(i, _)| i).collect();
+                break;
+            }
+            self.backoff(out.attempts, trace, parent, pending.len());
+            span_cause = ReadCause::Retry;
+        }
+        Ok(out)
+    }
+
+    /// The degrade-or-fail rule once a read's retry budget is spent:
+    /// `exhausted` names the first partition left unread (if any), which
+    /// fails the batch unless degraded answers are allowed.
+    fn give_up(&self, exhausted: Option<u32>, attempts: u32) -> Result<()> {
+        match exhausted {
+            Some(partition) if !self.config.degraded_ok() => Err(Error::ReadRetriesExhausted {
+                partition,
+                attempts,
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// Charges one exponential-backoff step to virtual time before an
     /// engine-level read retry and records a `read_retry` span instant.
     fn backoff(&self, attempt: u32, trace: &BatchTrace, parent: SpanId, clusters: usize) {
@@ -2108,7 +2052,6 @@ impl ComputeNode {
 
     /// The Naive path: each query fetches each of its clusters with an
     /// individual read; nothing is reused within or across batches.
-    #[allow(clippy::too_many_arguments)]
     fn query_batch_naive(
         &self,
         queries: &Dataset,
@@ -2177,33 +2120,28 @@ impl ComputeNode {
             let s_net = trace.begin_span("network", "engine", root);
             let clock0 = self.qp.clock().now_us();
             let mut buffers: Vec<Vec<Option<Vec<u8>>>> = Vec::with_capacity(route_chunk.len());
-            {
-                let _scope = trace.enter_scope(s_net);
-                for route in route_chunk {
-                    report.raw_cluster_demand += route.len();
-                    let reqs =
-                        read_requests_tagged(&self.directory, self.rkey, route, ReadCause::Naive)?;
-                    let mut per_query = Vec::with_capacity(reqs.len());
-                    for (&p, r) in route.iter().zip(&reqs) {
-                        match self.read_naive_with_retry(
-                            p,
-                            r,
-                            trace,
-                            s_net,
-                            &mut report.read_retries,
-                        )? {
-                            Some(buf) => {
-                                report.clusters_loaded += 1;
-                                if heat {
-                                    self.heatmap.record_load(p, buf.len() as u64);
-                                }
-                                per_query.push(Some(buf));
-                            }
-                            None => per_query.push(None),
+            for route in route_chunk {
+                report.raw_cluster_demand += route.len();
+                let mut per_query = Vec::with_capacity(route.len());
+                for &p in route {
+                    // One unbracketed read per (query, cluster), each
+                    // with its own retry budget; past it the cluster is
+                    // skipped when degraded answers are allowed.
+                    let want = Want::new(p, self.directory.location(p)?.read_span());
+                    let read =
+                        self.read_stable(&[want], ReadCause::Naive, false, 0, trace, s_net)?;
+                    report.read_retries += read.retries;
+                    self.give_up(read.exhausted.first().map(|_| p), read.attempts)?;
+                    let buf = read.stable.into_iter().next().map(|(_, _, buf)| buf);
+                    if let Some(buf) = &buf {
+                        report.clusters_loaded += 1;
+                        if heat {
+                            self.heatmap.record_load(p, buf.len() as u64);
                         }
                     }
-                    buffers.push(per_query);
+                    per_query.push(buf);
                 }
+                buffers.push(per_query);
             }
             let stripe_net_us = self.qp.clock().now_us() - clock0;
             net_us += stripe_net_us;
@@ -2258,48 +2196,6 @@ impl ComputeNode {
             report.coverage = coverage;
         }
         Ok((results, report))
-    }
-
-    /// One naive-mode cluster read with the engine-level retry policy:
-    /// substrate retransmission exhaustion is retried with backoff; past
-    /// the budget the cluster is skipped (`None`) when degraded results
-    /// are allowed, or the batch fails.
-    fn read_naive_with_retry(
-        &self,
-        partition: u32,
-        req: &rdma_sim::ReadReq,
-        trace: &BatchTrace,
-        parent: SpanId,
-        retries: &mut u64,
-    ) -> Result<Option<Vec<u8>>> {
-        let mut attempt = 0u32;
-        loop {
-            // First attempt keeps the request's own cause (naive fetch);
-            // re-sends after a retransmission-budget failure are retries.
-            let cause = if attempt == 0 {
-                req.cause
-            } else {
-                ReadCause::Retry
-            };
-            match self.qp.read_with_cause(req.rkey, req.offset, req.len, cause) {
-                Ok(buf) => return Ok(Some(buf)),
-                Err(rdma_sim::Error::RetriesExhausted { .. }) => {
-                    attempt += 1;
-                    *retries += 1;
-                    if attempt > self.config.read_retry_limit() {
-                        if self.config.degraded_ok() {
-                            return Ok(None);
-                        }
-                        return Err(Error::ReadRetriesExhausted {
-                            partition,
-                            attempts: attempt,
-                        });
-                    }
-                    self.backoff(attempt, trace, parent, 1);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
     }
 
     /// Inserts a vector: classify via the cached meta-HNSW, allocate a
@@ -2368,12 +2264,10 @@ impl ComputeNode {
     }
 
     /// FAAs a partition's directory version slot after a committed
-    /// mutation (no-op for pre-versioning directories).
+    /// mutation.
     fn bump_version(&self, partition: u32) -> Result<()> {
-        if self.directory.has_version_slots() {
-            self.qp
-                .faa(self.rkey, self.directory.version_slot_off(partition)?, 1)?;
-        }
+        self.qp
+            .faa(self.rkey, self.directory.version_slot_off(partition)?, 1)?;
         Ok(())
     }
 

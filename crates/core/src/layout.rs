@@ -34,13 +34,12 @@ use crate::{Error, Result};
 
 /// Magic tag of a serialized directory.
 pub const DIRECTORY_MAGIC: u32 = 0x3144_4844; // "DHD1"
-/// The original directory format: no version slots, v1 overflow
-/// framing. Still accepted by [`Directory::from_bytes`].
-pub const DIRECTORY_VERSION_V1: u32 = 1;
 /// v2 appends one aligned `u64` version slot per cluster after the
 /// location entries (and pairs with the v2 overflow-record framing:
 /// length prefix, checksum, commit marker). This is what
-/// [`Directory::plan`] emits for uncompressed stores.
+/// [`Directory::plan`] emits for uncompressed stores. The original v1
+/// format (no version slots, unframed overflow records) is rejected:
+/// no reader can serve it.
 pub const DIRECTORY_VERSION: u32 = 2;
 /// v3 appends a per-cluster SQ8 span table (`sq_off`/`sq_len` `u64`
 /// pairs) after the version slots; the spans point at scalar-quantized
@@ -341,15 +340,10 @@ impl Directory {
         })
     }
 
-    /// Format version this directory was planned/decoded at. Version
-    /// slots only exist for [`DIRECTORY_VERSION`] (v2) directories.
+    /// Format version this directory was planned/decoded at
+    /// ([`DIRECTORY_VERSION`] or [`DIRECTORY_VERSION_V3`]).
     pub fn format_version(&self) -> u32 {
         self.format_version
-    }
-
-    /// Whether the directory carries per-cluster version slots.
-    pub fn has_version_slots(&self) -> bool {
-        self.format_version >= DIRECTORY_VERSION
     }
 
     /// Number of partitions described.
@@ -418,11 +412,6 @@ impl Directory {
         Self::version_slots_off(n) + n * 8
     }
 
-    /// Serialized size under the v1 format (no version slots).
-    pub fn byte_size_v1(n: usize) -> usize {
-        HEADER_BYTES + n * ENTRY_BYTES
-    }
-
     /// Serialized size under the v3 format: the v2 layout plus one
     /// `(sq_off, sq_len)` pair per cluster.
     pub fn byte_size_v3(n: usize) -> usize {
@@ -436,7 +425,7 @@ impl Directory {
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] on a short prefix, a bad magic, or
-    /// an unknown format version.
+    /// an unknown format version (v1 included).
     pub fn peek_size(header: &[u8]) -> Result<usize> {
         if header.len() < HEADER_BYTES {
             return Err(Error::Corrupt("truncated directory header".into()));
@@ -449,7 +438,6 @@ impl Directory {
         }
         let n = u32_at(12) as usize;
         match u32_at(4) {
-            DIRECTORY_VERSION_V1 => Ok(Self::byte_size_v1(n)),
             DIRECTORY_VERSION => Ok(Self::byte_size(n)),
             DIRECTORY_VERSION_V3 => Ok(Self::byte_size_v3(n)),
             _ => Err(Error::Corrupt("unsupported directory version".into())),
@@ -467,14 +455,8 @@ impl Directory {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownPartition`] for an out-of-range id, or
-    /// [`Error::Corrupt`] for a v1 directory, which has no slots.
+    /// Returns [`Error::UnknownPartition`] for an out-of-range id.
     pub fn version_slot_off(&self, p: u32) -> Result<u64> {
-        if !self.has_version_slots() {
-            return Err(Error::Corrupt(
-                "v1 directory carries no version slots".into(),
-            ));
-        }
         if p as usize >= self.locations.len() {
             return Err(Error::UnknownPartition(p));
         }
@@ -484,10 +466,10 @@ impl Directory {
     /// Serialized size of *this* directory at the head of the region.
     pub fn directory_bytes(&self) -> u64 {
         let n = self.locations.len();
-        (match self.format_version {
-            DIRECTORY_VERSION_V1 => Self::byte_size_v1(n),
-            DIRECTORY_VERSION => Self::byte_size(n),
-            _ => Self::byte_size_v3(n),
+        (if self.has_sq_spans() {
+            Self::byte_size_v3(n)
+        } else {
+            Self::byte_size(n)
         }) as u64
     }
 
@@ -578,9 +560,7 @@ impl Directory {
             out.extend_from_slice(&loc.overflow_off.to_le_bytes());
             out.extend_from_slice(&loc.overflow_len.to_le_bytes());
         }
-        if self.has_version_slots() {
-            out.resize(Self::byte_size(self.locations.len()), 0);
-        }
+        out.resize(Self::byte_size(self.locations.len()), 0);
         if self.has_sq_spans() {
             for &(off, len) in &self.sq_spans {
                 out.extend_from_slice(&off.to_le_bytes());
@@ -594,7 +574,8 @@ impl Directory {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corrupt`] on a bad magic/version or truncation.
+    /// Returns [`Error::Corrupt`] on a bad magic, an unknown format
+    /// version (v1 included), or truncation.
     pub fn from_bytes(blob: &[u8]) -> Result<Self> {
         let take = |off: usize, n: usize| -> Result<&[u8]> {
             blob.get(off..off + n)
@@ -610,7 +591,7 @@ impl Directory {
             return Err(Error::Corrupt("bad directory magic".into()));
         }
         let format_version = u32_at(4)?;
-        if !(DIRECTORY_VERSION_V1..=DIRECTORY_VERSION_V3).contains(&format_version) {
+        if !(DIRECTORY_VERSION..=DIRECTORY_VERSION_V3).contains(&format_version) {
             return Err(Error::Corrupt("unsupported directory version".into()));
         }
         let dim = u32_at(8)?;
@@ -803,7 +784,6 @@ mod tests {
     #[test]
     fn version_slots_are_aligned_and_inside_the_directory() {
         let dir = Directory::plan(&[100, 200, 300], 4, 8).unwrap();
-        assert!(dir.has_version_slots());
         assert_eq!(dir.format_version(), DIRECTORY_VERSION);
         for p in 0..3u32 {
             let off = dir.version_slot_off(p).unwrap();
@@ -824,21 +804,21 @@ mod tests {
     }
 
     #[test]
-    fn v1_directories_still_decode() {
+    fn v1_directories_are_rejected() {
         // A v1 blob is the v2 blob minus the version-slot tail, with the
-        // version field rewound.
+        // version field rewound. Neither decoder may half-read it.
         let dir = Directory::plan(&[100, 200], 4, 8).unwrap();
         let mut blob = dir.to_bytes();
-        blob.truncate(Directory::byte_size_v1(2));
-        blob[4..8].copy_from_slice(&DIRECTORY_VERSION_V1.to_le_bytes());
-        let back = Directory::from_bytes(&blob).unwrap();
-        assert_eq!(back.format_version(), DIRECTORY_VERSION_V1);
-        assert!(!back.has_version_slots());
-        assert_eq!(back.locations(), dir.locations());
-        assert!(back.version_slot_off(0).is_err());
-        // v1 round-trips at the v1 size.
-        assert_eq!(back.to_bytes().len(), Directory::byte_size_v1(2));
-        assert_eq!(Directory::from_bytes(&back.to_bytes()).unwrap(), back);
+        blob.truncate(HEADER_BYTES + 2 * ENTRY_BYTES);
+        blob[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Directory::from_bytes(&blob),
+            Err(Error::Corrupt(_))
+        ));
+        assert!(matches!(
+            Directory::peek_size(&blob),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -846,7 +826,6 @@ mod tests {
         let plain = Directory::plan(&[100, 220, 60], 4, 8).unwrap();
         let dir = Directory::plan_with_sq(&[100, 220, 60], &[40, 90, 25], 4, 8).unwrap();
         assert!(dir.has_sq_spans());
-        assert!(dir.has_version_slots());
         assert_eq!(dir.format_version(), DIRECTORY_VERSION_V3);
         // The larger v3 directory shifts the groups, but the group
         // *shape* (pairing, shared overflow, relative geometry) matches
@@ -908,10 +887,6 @@ mod tests {
             Directory::peek_size(&v3_blob[..DIRECTORY_PEEK_BYTES]).unwrap(),
             v3_blob.len()
         );
-        let mut v1_blob = v2_blob.clone();
-        v1_blob.truncate(Directory::byte_size_v1(2));
-        v1_blob[4..8].copy_from_slice(&DIRECTORY_VERSION_V1.to_le_bytes());
-        assert_eq!(Directory::peek_size(&v1_blob).unwrap(), v1_blob.len());
         assert!(Directory::peek_size(&v2_blob[..10]).is_err());
         let mut bad = v2_blob.clone();
         bad[4..8].copy_from_slice(&9u32.to_le_bytes());

@@ -3,18 +3,14 @@
 //! Given a batch of queries, each needing its `b` closest sub-HNSW
 //! clusters, the planner computes the batch's *unique* cluster demand so
 //! every cluster crosses the network **at most once per batch**, splits it
-//! into cache hits and required loads, and emits the doorbell read
-//! requests covering each required cluster's contiguous span (cluster +
-//! overflow).
+//! into cache hits and required loads, and assigns each load to the
+//! pipeline stage that first needs it. The engine turns the loads into
+//! reads (`ComputeNode::read_stable`).
 //!
 //! The planner is pure — it performs no I/O — which keeps the dedup and
 //! cache-interaction logic independently testable.
 
-use rdma_sim::{ReadCause, ReadReq};
-
-use crate::layout::Directory;
 use crate::telemetry::span::ArgValue;
-use crate::Result;
 
 /// The outcome of planning one batch's cluster loads.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -119,50 +115,6 @@ pub fn stage_loads(
         stages[s].push(p);
     }
     stages
-}
-
-/// Builds the read requests covering each partition's contiguous
-/// cluster-plus-overflow span, in `partitions` order. Feeding the whole
-/// list to [`rdma_sim::QueuePair::read_doorbell`] yields the §3.2
-/// doorbell-batched load; issuing them one by one is the "without
-/// doorbell" baseline.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::UnknownPartition`] for an out-of-range id.
-pub fn read_requests(
-    directory: &Directory,
-    rkey: u32,
-    partitions: &[u32],
-) -> Result<Vec<ReadReq>> {
-    partitions
-        .iter()
-        .map(|&p| {
-            let loc = directory.location(p)?;
-            let (off, len) = loc.read_span();
-            Ok(ReadReq::new(rkey, off, len))
-        })
-        .collect()
-}
-
-/// [`read_requests`] with every request tagged with a byte-provenance
-/// [`ReadCause`], so the substrate's per-cause counters attribute the
-/// span bytes to the right consumer (stage load, prefetch, naive fetch,
-/// …) even when requests from several consumers share one doorbell.
-///
-/// # Errors
-///
-/// Same as [`read_requests`].
-pub fn read_requests_tagged(
-    directory: &Directory,
-    rkey: u32,
-    partitions: &[u32],
-    cause: ReadCause,
-) -> Result<Vec<ReadReq>> {
-    Ok(read_requests(directory, rkey, partitions)?
-        .into_iter()
-        .map(|r| r.with_cause(cause))
-        .collect())
 }
 
 #[cfg(test)]
@@ -273,38 +225,5 @@ mod tests {
         let rs = routes(&[&[7]]);
         let staged = stage_loads(&rs, &[9, 7], &[(0, 1), (1, 1)]);
         assert_eq!(staged, vec![vec![9, 7], vec![]]);
-    }
-
-    #[test]
-    fn read_requests_cover_full_spans() {
-        let dir = Directory::plan(&[64, 128, 32], 4, 4).unwrap();
-        let reqs = read_requests(&dir, 9, &[2, 0]).unwrap();
-        assert_eq!(reqs.len(), 2);
-        let loc2 = dir.location(2).unwrap();
-        let (off, len) = loc2.read_span();
-        assert_eq!(reqs[0], ReadReq::new(9, off, len));
-        // Order follows the input partitions.
-        let loc0 = dir.location(0).unwrap();
-        assert_eq!(reqs[1].offset, loc0.read_span().0);
-    }
-
-    #[test]
-    fn read_requests_tagged_carry_their_cause() {
-        let dir = Directory::plan(&[64, 128], 4, 4).unwrap();
-        let reqs =
-            read_requests_tagged(&dir, 9, &[1, 0], ReadCause::StageLoad).unwrap();
-        assert_eq!(reqs.len(), 2);
-        assert!(reqs.iter().all(|r| r.cause == ReadCause::StageLoad));
-        // Offsets and lengths are untouched by tagging.
-        let plain = read_requests(&dir, 9, &[1, 0]).unwrap();
-        for (t, p) in reqs.iter().zip(&plain) {
-            assert_eq!((t.rkey, t.offset, t.len), (p.rkey, p.offset, p.len));
-        }
-    }
-
-    #[test]
-    fn read_requests_reject_unknown_partition() {
-        let dir = Directory::plan(&[64], 4, 4).unwrap();
-        assert!(read_requests(&dir, 1, &[5]).is_err());
     }
 }

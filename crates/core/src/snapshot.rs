@@ -215,6 +215,26 @@ mod tests {
     }
 
     #[test]
+    fn v1_directory_snapshots_are_rejected() {
+        // A v1 directory would restore, then every overflow area would
+        // be parsed with the v2 framing and silently drop its inserts.
+        let data = gen::sift_like(200, 46).unwrap();
+        let store = VectorStore::build(data.clone(), &DHnswConfig::small()).unwrap();
+        let node = store.connect(SearchMode::Full).unwrap();
+        node.insert(data.get(1)).unwrap();
+        let mut buf = Vec::new();
+        write_snapshot(&store, &mut buf).unwrap();
+        assert!(read_snapshot(&buf[..], store.config()).is_ok());
+
+        // The region image is the stream's tail; bytes 4..8 of it are
+        // the directory's format word.
+        let region = buf.len() - store.directory().total_len() as usize;
+        buf[region + 4..region + 8].copy_from_slice(&1u32.to_le_bytes());
+        let err = read_snapshot(&buf[..], store.config()).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    }
+
+    #[test]
     fn restore_lives_on_a_fresh_memory_node() {
         let data = gen::sift_like(200, 45).unwrap();
         let store = VectorStore::build(data, &DHnswConfig::small()).unwrap();

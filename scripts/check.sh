@@ -25,6 +25,24 @@ if [[ -n "$IGNORED" ]]; then
   exit 1
 fi
 
+# One remote-read path: every engine read goes through `post` (the only
+# choice between one doorbell and one read per request) and the
+# retrying `read_stable`; the health probe keeps its own doorbell. The
+# v1 layout and the hand-written read loops stay deleted.
+echo "==> single remote-read path in the engine"
+ENGINE=crates/core/src/engine.rs
+N_READS=$(grep -c 'self\.qp\.read_with_cause(' "$ENGINE" || true)
+N_DOORBELLS=$(grep -c 'self\.qp\.read_doorbell(' "$ENGINE" || true)
+if (( N_READS > 1 || N_DOORBELLS > 2 )); then
+  echo "$ENGINE: $N_READS read_with_cause and $N_DOORBELLS read_doorbell calls;" \
+    "at most 1 and 2 (post and the health probe)" >&2
+  exit 1
+fi
+if grep -rnE 'has_version_slots|parse_overflow_legacy|read_naive_with_retry' crates/; then
+  echo "a deleted v1-layout or read-loop helper reappeared under crates/" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -9,8 +9,10 @@
 
 use std::sync::Arc;
 
-use dhnsw_repro::dhnsw::{DHnswConfig, SearchMode, Telemetry, VectorStore};
-use dhnsw_repro::vecsim::gen;
+use dhnsw_repro::dhnsw::{
+    BatchReport, DHnswConfig, QuantizeMode, ReadCause, SearchMode, Telemetry, VectorStore,
+};
+use dhnsw_repro::vecsim::{gen, Dataset};
 
 #[test]
 fn seeded_fault_sweep_is_absorbed_transparently() {
@@ -110,4 +112,85 @@ fn degradation_accounts_coverage_honestly_without_retransmissions() {
         )),
         "degraded counter disagrees with report totals"
     );
+}
+
+/// Reads `queries` on a fresh SQ8 reader at pipeline depth 1, so its read
+/// verbs come in a known order: the stage doorbell, the overflow
+/// follow-up (only when a routed partition is mutated), then the exact
+/// rerank doorbell. `fail_verb` drops exactly that verb once, with no
+/// substrate retransmissions to absorb it.
+fn sq8_batch(
+    store: &VectorStore,
+    queries: &Dataset,
+    fail_verb: Option<u32>,
+) -> (Vec<Vec<u32>>, BatchReport) {
+    let node = store.connect(SearchMode::Full).unwrap();
+    assert!(node.is_quantized());
+    node.set_pipeline_depth(1);
+    if let Some(skip) = fail_verb {
+        node.queue_pair().set_retry_limit(0);
+        node.queue_pair().fail_nth(skip, 1);
+    }
+    let (results, report) = node.query_batch(queries, 10, 32).unwrap();
+    let ids = results
+        .iter()
+        .map(|r| r.iter().map(|n| n.id).collect())
+        .collect();
+    (ids, report)
+}
+
+/// The provenance rule for one failed post of `cause` reads: that post
+/// moved nothing, so every byte of `cause` arrives on the re-send tagged
+/// `retry`; every other cause reads exactly what a fault-free batch
+/// reads, except that re-sent brackets add version checks; and the
+/// failure counts one retry.
+fn assert_resent_as_retry(clean: &BatchReport, faulted: &BatchReport, cause: ReadCause) {
+    let (c, f) = (&clean.ledger, &faulted.ledger);
+    assert!(
+        c.bytes_for(cause) > 0,
+        "the fault-free batch reads no {cause:?} bytes"
+    );
+    assert_eq!(c.bytes_for(ReadCause::Retry), 0);
+    for other in ReadCause::ALL {
+        let want = match other {
+            ReadCause::Retry => c.bytes_for(cause),
+            ReadCause::VersionCheck => f.bytes_for(other).max(c.bytes_for(other)),
+            _ if other == cause => 0,
+            _ => c.bytes_for(other),
+        };
+        assert_eq!(f.bytes_for(other), want, "{other:?} bytes");
+    }
+    let extra_checks = f.bytes_for(ReadCause::VersionCheck) - c.bytes_for(ReadCause::VersionCheck);
+    assert_eq!(faulted.bytes_read - clean.bytes_read, extra_checks);
+    assert_eq!(clean.read_retries, 0);
+    assert_eq!(faulted.read_retries, 1);
+}
+
+#[test]
+fn resent_reads_are_retry_bytes_and_one_failed_post_is_one_retry() {
+    let data = gen::sift_like(600, 25).unwrap();
+    let cfg = DHnswConfig::small().with_quantize_mode(QuantizeMode::Sq8);
+    let queries = gen::perturbed_queries(&data, 8, 0.02, 26).unwrap();
+
+    // (b) Pristine store: the second read verb is the rerank doorbell.
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let (clean_ids, clean) = sq8_batch(&store, &queries, None);
+    let (ids, faulted) = sq8_batch(&store, &queries, Some(1));
+    assert_eq!(ids, clean_ids);
+    assert_eq!(clean.ledger.bytes_for(ReadCause::OverflowScan), 0);
+    assert_resent_as_retry(&clean, &faulted, ReadCause::Rerank);
+
+    // (a) A writer inserts next to the queries, so the partitions the
+    // batch routes to carry overflow records and the second read verb
+    // is the overflow follow-up doorbell.
+    let writer = store.connect(SearchMode::Full).unwrap();
+    for q in queries.iter().take(4) {
+        let mut v = q.to_vec();
+        v[0] += 0.5;
+        writer.insert(&v).unwrap();
+    }
+    let (clean_ids, clean) = sq8_batch(&store, &queries, None);
+    let (ids, faulted) = sq8_batch(&store, &queries, Some(1));
+    assert_eq!(ids, clean_ids);
+    assert_resent_as_retry(&clean, &faulted, ReadCause::OverflowScan);
 }
